@@ -174,9 +174,11 @@ echo "== query bench smoke (one-pass vs prune-then-eval ratio gate) =="
 # Smoke-mode run of the one-pass query bench. The bench itself asserts
 # byte-identical answers before timing; here the emitted JSON must
 # parse and the one-pass machine must hold the >= 1.3x bar over
-# prune-then-eval at retention <= 30% — in the smoke run and in the
-# committed BENCH_query.json. The gate is a ratio of the two pipelines
-# on the same machine, so it is machine-independent.
+# prune-then-eval at retention <= 30%, and the unselective
+# /site//node() row (retention 100%) must not be slower in one pass
+# (ratio >= 1.0) — in the smoke run and in the committed
+# BENCH_query.json. The gate is a ratio of the two pipelines on the
+# same machine, so it is machine-independent.
 XPROJ_BENCH_SAMPLES=3 XPROJ_BENCH_WARMUP=1 XPROJ_BENCH_SCALES=0.5 \
 XPROJ_BENCH_OUT=/tmp/BENCH_query.smoke.json \
     ./target/release/query > /dev/null
@@ -192,10 +194,21 @@ def gate(doc, name):
     assert g >= 1.3, \
         f"{name}: one-pass speedup {g:.2f}x below the 1.3x gate"
     return g, len(rows)
+unselective = '/site//node()'
+def gate_unselective(doc, name):
+    rows = [r for r in doc['runs'] if r['query'] == unselective]
+    assert rows, f"{name}: no {unselective} row"
+    for r in rows:
+        assert r['ratio'] >= 1.0, \
+            f"{name}: {unselective} at scale {r['scale']}: one-pass/prune-then-eval {r['ratio']:.2f}x below 1.0"
+    return min(r['ratio'] for r in rows)
 gb, nb = gate(base, 'committed baseline')
 gs, ns = gate(smoke, 'smoke run')
+ub = gate_unselective(base, 'committed baseline')
+us = gate_unselective(smoke, 'smoke run')
 print(f"query bench smoke: one-pass speedup {gs:.2f}x over {ns} rows "
-      f"(committed baseline {gb:.2f}x over {nb} rows)")
+      f"(committed baseline {gb:.2f}x over {nb} rows); "
+      f"{unselective} {us:.2f}x (baseline {ub:.2f}x)")
 PY
 
 echo "ci: OK"

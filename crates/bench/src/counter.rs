@@ -109,8 +109,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
+    /// The allocator is process-global: a `measure` in one test resets
+    /// the peak under another's region, so these tests take turns.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn measures_peak_of_a_region() {
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let (len, peak) = crate::ALLOCATOR.measure(|| {
             let v: Vec<u8> = vec![0u8; 1 << 20];
             v.len()
@@ -121,6 +128,7 @@ mod tests {
 
     #[test]
     fn peak_resets() {
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         crate::ALLOCATOR.measure(|| vec![0u8; 1 << 16]);
         let (_, peak) = crate::ALLOCATOR.measure(|| 0u8);
         assert!(peak < 1 << 16);

@@ -6,11 +6,12 @@
 //! [`QueryMachine`] collapses that for the path-shaped fragment the
 //! compiler (`xproj-qc`) lowers to [`Plan::Streaming`]: the compiled
 //! [`PathProgram`](xproj_qc::PathProgram) is executed as an NFA directly over the raw token
-//! stream, candidate subtrees are serialized into per-match capture
-//! buffers as their bytes flow past, and everything outside π is
-//! fast-forwarded exactly like the pruner. Engine-resident state stays
-//! O(depth + chunk); only the answer itself (the open captures and the
-//! not-yet-drained output frames) scales with the result.
+//! stream, candidate subtrees are serialized once into a shared capture
+//! record as their bytes flow past, and everything outside π — or
+//! where no NFA state is live — is fast-forwarded exactly like the
+//! pruner. Engine-resident state stays O(depth + chunk); only the
+//! answer itself (the pending captures' record and the not-yet-drained
+//! output frames) scales with the result.
 //!
 //! Out-of-fragment artifacts carry [`Plan::Fallback`]: the same feed
 //! loop prunes into an in-memory buffer (sound by the paper's Thm 4.6 —
@@ -119,7 +120,7 @@ pub struct QueryStats {
     /// Result items emitted.
     pub matches: u64,
     /// Parse events processed (undercounts inside fast-forwarded
-    /// subtrees, exactly like the pruner).
+    /// subtrees — pruned or, for the streaming plan, dead).
     pub events: u64,
     /// Input bytes fed.
     pub bytes_in: u64,
@@ -129,10 +130,10 @@ pub struct QueryStats {
     pub subtrees_fast_forwarded: u64,
     /// Maximum element nesting depth seen.
     pub max_depth: usize,
-    /// Peak engine-resident bytes (tokenizer tail + scratch) — the
+    /// Peak engine-resident bytes (the tokenizer's buffered tail) — the
     /// O(depth + chunk) side of the ledger.
     pub peak_resident_bytes: usize,
-    /// Peak answer-resident bytes (open captures + undrained output; for
+    /// Peak answer-resident bytes (capture record + undrained output; for
     /// the fallback plan, the buffered pruned document). Scales with the
     /// answer, not the input.
     pub peak_answer_bytes: usize,
@@ -296,25 +297,35 @@ impl GuardExec {
 // Captures
 // ---------------------------------------------------------------------
 
-#[derive(PartialEq, Eq, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum CapState {
     Open,
     Done,
     Failed,
 }
 
-/// One in-flight result item, serialized incrementally as its bytes
-/// stream past. Captures are created in document (start-tag) order and
-/// emitted in that same order once complete — nested matches simply hold
-/// the front of the queue until they close.
+/// One result item: the range `start..end` of the matcher's shared
+/// record, in absolute record offsets (see [`Matcher::rec_base`]).
+/// Captures are created in document (start-tag) order and emitted in
+/// that same order once complete — nested matches simply hold the front
+/// of the queue until they close. Text captures are born complete.
 struct Capture {
-    buf: String,
+    start: usize,
+    end: usize,
+    state: CapState,
+}
+
+/// A capture whose element has not closed yet. Open captures always
+/// nest — each opens at a start tag and closes at its matching end tag —
+/// so they form a stack, outermost first, never deeper than the
+/// document.
+struct OpenCapture {
+    /// Index into [`Matcher::caps`].
+    cap: usize,
     /// Matcher stack length *including* the candidate's own frame (the
     /// virtual document frame counts, so the whole-document capture has
-    /// `start_depth == 1`). Text captures are born complete and never
-    /// consult it.
-    start_depth: usize,
-    state: CapState,
+    /// `depth == 1`).
+    depth: usize,
     guard: Option<GuardExec>,
 }
 
@@ -327,11 +338,17 @@ struct Capture {
 struct MatchFrame {
     a: u64,
     s: u64,
-    /// The start tag has been written to captures but not yet closed
-    /// with `>` — resolved to `/>` if the element ends childless.
+    /// The start tag has been recorded but not yet closed with `>` —
+    /// resolved to `/>` if the element ends childless.
     open_pending: bool,
 }
 
+/// The NFA plus capture bookkeeping. Cost model: every byte of every
+/// answer is serialized exactly once, into the shared record `rec`, no
+/// matter how many open captures contain it; per-event capture work is
+/// O(1) without a guard and O(open captures) ≤ depth with one (each
+/// open capture runs its own guard instance). Only the innermost open
+/// capture can close at an end tag.
 struct Matcher {
     dtd: Arc<Dtd>,
     table: ProjectorTable,
@@ -345,20 +362,15 @@ struct Matcher {
     caps: Vec<Capture>,
     /// Index of the first not-yet-emitted capture.
     head: usize,
-    /// Captures in `CapState::Open` (fast path: zero means no capture
-    /// bookkeeping at all for this event).
-    open_count: usize,
-    scratch: String,
+    /// Open captures, outermost first (empty: nothing is recording).
+    open: Vec<OpenCapture>,
+    /// The shared record: serialized bytes of every capture not yet
+    /// emitted. Byte `i` of `rec` is record offset `rec_base + i`.
+    rec: String,
+    /// Record offset of `rec[0]`; advances as drained bytes are dropped.
+    rec_base: usize,
     saw_root: bool,
     max_depth: usize,
-}
-
-fn append_open(caps: &mut [Capture], s: &str) {
-    for c in caps {
-        if c.state == CapState::Open {
-            c.buf.push_str(s);
-        }
-    }
 }
 
 impl Matcher {
@@ -372,25 +384,6 @@ impl Matcher {
         // anchors here.
         let mut a = 1u64;
         closure(&steps, mask, &mut a, |t| t.matches_document());
-        let doc_capture = if a & accept != 0 {
-            // The document node itself is an answer (`/self::node()` et
-            // al.): capture the whole serialized content.
-            let guard_exec = if guard.is_empty() {
-                None
-            } else {
-                Some(GuardExec::start(&guard, gmask, gaccept, |t| {
-                    t.matches_document()
-                }))
-            };
-            Some(Capture {
-                buf: String::new(),
-                start_depth: 1,
-                state: CapState::Open,
-                guard: guard_exec,
-            })
-        } else {
-            None
-        };
         let mut m = Matcher {
             dtd,
             table,
@@ -403,14 +396,16 @@ impl Matcher {
             stack: Vec::with_capacity(16),
             caps: Vec::new(),
             head: 0,
-            open_count: 0,
-            scratch: String::new(),
+            open: Vec::new(),
+            rec: String::new(),
+            rec_base: 0,
             saw_root: false,
             max_depth: 0,
         };
-        if let Some(cap) = doc_capture {
-            m.caps.push(cap);
-            m.open_count = 1;
+        if a & accept != 0 {
+            // The document node itself is an answer (`/self::node()` et
+            // al.): capture the whole serialized content.
+            m.open_capture(1, |t| t.matches_document());
         }
         m.stack.push(MatchFrame {
             a,
@@ -420,16 +415,64 @@ impl Matcher {
         m
     }
 
-    /// Sum of not-yet-emitted capture bytes (answer-resident gauge).
+    /// Record offset of the next byte written to `rec`.
+    fn rec_pos(&self) -> usize {
+        self.rec_base + self.rec.len()
+    }
+
+    /// Answer-resident capture bytes: the record holds each not-yet-
+    /// emitted byte once, however many captures share it.
     fn capture_bytes(&self) -> usize {
-        self.caps[self.head..].iter().map(|c| c.buf.len()).sum()
+        self.rec.len()
+    }
+
+    /// Opens a capture for the candidate whose frame will sit at stack
+    /// length `depth`, starting at the current record position.
+    fn open_capture(&mut self, depth: usize, matches: impl Fn(StepTest) -> bool) {
+        let guard = if self.guard.is_empty() {
+            None
+        } else {
+            Some(GuardExec::start(&self.guard, self.gmask, self.gaccept, matches))
+        };
+        self.caps.push(Capture {
+            start: self.rec_pos(),
+            end: 0,
+            state: CapState::Open,
+        });
+        self.open.push(OpenCapture {
+            cap: self.caps.len() - 1,
+            depth,
+            guard,
+        });
+    }
+
+    /// Closes the innermost open capture at the current record position;
+    /// its guard verdict is final.
+    fn close_innermost(&mut self) {
+        let oc = self.open.pop().expect("an open capture to close");
+        let ok = oc.guard.is_none_or(|g| g.satisfied);
+        let end = self.rec_pos();
+        let cap = &mut self.caps[oc.cap];
+        cap.end = end;
+        cap.state = if ok { CapState::Done } else { CapState::Failed };
+    }
+
+    /// Resolves the innermost element's pending start tag with `>`
+    /// before its first child is recorded.
+    fn close_pending_tag(&mut self) {
+        let top = self.stack.last_mut().expect("document frame always present");
+        if top.open_pending {
+            top.open_pending = false;
+            self.rec.push('>');
+        }
     }
 
     /// Processes a start tag. Returns true when the whole subtree is
-    /// skippable: the projector says nothing under this name is in π,
-    /// no capture is recording, and the node itself is not an answer —
-    /// by Thm 4.6 no answer (or guard witness) can live inside it on a
-    /// valid document.
+    /// skippable: no capture is recording, the node itself is not an
+    /// answer, and either the projector says nothing under this name is
+    /// in π (by Thm 4.6 no answer or guard witness can live inside it on
+    /// a valid document) or the node has no live NFA state
+    /// (`child_transition(0, 0) == (0, 0)`, so nothing below can match).
     fn start_element(&mut self, name_str: &str, attrs_raw: &str) -> Result<bool, StreamPruneError> {
         let name = self
             .dtd
@@ -443,69 +486,47 @@ impl Matcher {
             });
         closure(&self.steps, self.mask, &mut a, |t| t.matches_element(name));
         let matched = a & self.accept != 0;
-        let can_ff = self.table.verdict(name) == Verdict::PruneSubtree
+        let recording = !self.open.is_empty();
+        let can_ff = !recording
             && !matched
-            && self.open_count == 0;
+            && ((a == 0 && s == 0) || self.table.verdict(name) == Verdict::PruneSubtree);
 
-        if self.open_count > 0 {
-            if parent.open_pending {
-                append_open(&mut self.caps[self.head..], ">");
-                self.stack
-                    .last_mut()
-                    .expect("document frame always present")
-                    .open_pending = false;
-            }
+        if recording {
+            self.close_pending_tag();
             if !self.guard.is_empty() {
-                for cap in &mut self.caps[self.head..] {
-                    if cap.state == CapState::Open {
-                        if let Some(g) = &mut cap.guard {
-                            g.enter_element(&self.guard, self.gmask, self.gaccept, name);
-                        }
+                for oc in &mut self.open {
+                    if let Some(g) = &mut oc.guard {
+                        g.enter_element(&self.guard, self.gmask, self.gaccept, name);
                     }
                 }
             }
         }
         if matched {
-            let guard_exec = if self.guard.is_empty() {
-                None
-            } else {
-                Some(GuardExec::start(&self.guard, self.gmask, self.gaccept, |t| {
-                    t.matches_element(name)
-                }))
-            };
-            self.caps.push(Capture {
-                buf: String::new(),
-                start_depth: self.stack.len() + 1,
-                state: CapState::Open,
-                guard: guard_exec,
-            });
-            self.open_count += 1;
+            self.open_capture(self.stack.len() + 1, |t| t.matches_element(name));
         }
-        if self.open_count > 0 {
-            // Render `<name a="v" …` (no closing `>` yet) once, append
-            // to every recording capture. Values are decoded then
-            // re-escaped — byte-identical to the reference serializer.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            scratch.push('<');
-            scratch.push_str(name_str);
+        if !self.open.is_empty() {
+            // Record `<name a="v" …` (no closing `>` yet). Values are
+            // decoded then re-escaped — byte-identical to the reference
+            // serializer.
+            let rec = &mut self.rec;
+            rec.push('<');
+            rec.push_str(name_str);
             for attr in RawAttrs::new(attrs_raw) {
                 let (an, rawv) = attr.map_err(StreamPruneError::Xml)?;
                 let decoded = decode_entities(rawv).map_err(StreamPruneError::Xml)?;
-                scratch.push(' ');
-                scratch.push_str(an);
-                scratch.push_str("=\"");
-                escape_attr(&decoded, &mut scratch);
-                scratch.push('"');
+                rec.push(' ');
+                rec.push_str(an);
+                rec.push_str("=\"");
+                escape_attr(&decoded, rec);
+                rec.push('"');
             }
-            append_open(&mut self.caps[self.head..], &scratch);
-            self.scratch = scratch;
         }
         self.stack.push(MatchFrame {
             a,
             s,
             open_pending: true,
         });
+        debug_assert!(self.open.len() <= self.stack.len(), "open captures nest");
         self.max_depth = self.max_depth.max(self.stack.len() - 1);
         Ok(can_ff)
     }
@@ -513,34 +534,28 @@ impl Matcher {
     fn end_element(&mut self, name_str: &str) {
         let depth = self.stack.len();
         let top = self.stack.pop().expect("end_element below document");
-        if self.open_count == 0 {
+        let Some(innermost) = self.open.last() else {
             return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
+        };
+        let closes = innermost.depth == depth;
         if top.open_pending {
-            scratch.push_str("/>");
+            self.rec.push_str("/>");
         } else {
-            scratch.push_str("</");
-            scratch.push_str(name_str);
-            scratch.push('>');
+            self.rec.push_str("</");
+            self.rec.push_str(name_str);
+            self.rec.push('>');
         }
-        for cap in &mut self.caps[self.head..] {
-            if cap.state != CapState::Open {
-                continue;
-            }
-            cap.buf.push_str(&scratch);
-            if cap.start_depth == depth {
-                // The candidate itself is closing: its guard verdict is
-                // final.
-                let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
-                cap.state = if ok { CapState::Done } else { CapState::Failed };
-                self.open_count -= 1;
-            } else if let Some(g) = &mut cap.guard {
-                g.leave_element();
+        if !self.guard.is_empty() {
+            let enclosing = self.open.len() - usize::from(closes);
+            for oc in &mut self.open[..enclosing] {
+                if let Some(g) = &mut oc.guard {
+                    g.leave_element();
+                }
             }
         }
-        self.scratch = scratch;
+        if closes {
+            self.close_innermost();
+        }
     }
 
     fn text(&mut self, decoded: &str) {
@@ -549,56 +564,40 @@ impl Matcher {
         if self.stack.len() == 1 || decoded.trim().is_empty() {
             return;
         }
-        let top = *self.stack.last().expect("document frame always present");
-        if self.open_count > 0 && top.open_pending {
-            append_open(&mut self.caps[self.head..], ">");
-            self.stack
-                .last_mut()
-                .expect("document frame always present")
-                .open_pending = false;
+        let recording = !self.open.is_empty();
+        if recording {
+            self.close_pending_tag();
         }
+        let top = *self.stack.last().expect("document frame always present");
         let (mut a, _) = child_transition(&self.steps, self.mask, top.a, top.s, |t| {
             t.matches_text()
         });
         closure(&self.steps, self.mask, &mut a, |t| t.matches_text());
-        if self.open_count > 0 && !self.guard.is_empty() {
-            for cap in &mut self.caps[self.head..] {
-                if cap.state == CapState::Open {
-                    if let Some(g) = &mut cap.guard {
-                        g.visit_text(&self.guard, self.gmask, self.gaccept);
-                    }
+        if recording && !self.guard.is_empty() {
+            for oc in &mut self.open {
+                if let Some(g) = &mut oc.guard {
+                    g.visit_text(&self.guard, self.gmask, self.gaccept);
                 }
             }
         }
-        if a & self.accept != 0 {
-            // A text node answer is born complete — serialize and settle
-            // its guard (which can only hold via self-matching steps) on
-            // the spot.
-            let ok = if self.guard.is_empty() {
-                true
-            } else {
-                let g = GuardExec::start(&self.guard, self.gmask, self.gaccept, |t| {
+        // A text node answer is born complete; its guard can only hold
+        // via self-matching steps, so it settles on the spot.
+        let answer = a & self.accept != 0
+            && (self.guard.is_empty()
+                || GuardExec::start(&self.guard, self.gmask, self.gaccept, |t| {
                     t.matches_text()
-                });
-                g.satisfied
-            };
-            if ok {
-                let mut buf = String::new();
-                escape_text(decoded, &mut buf);
+                })
+                .satisfied);
+        if recording || answer {
+            let start = self.rec_pos();
+            escape_text(decoded, &mut self.rec);
+            if answer {
                 self.caps.push(Capture {
-                    buf,
-                    start_depth: usize::MAX,
+                    start,
+                    end: self.rec_pos(),
                     state: CapState::Done,
-                    guard: None,
                 });
             }
-        }
-        if self.open_count > 0 {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            escape_text(decoded, &mut scratch);
-            append_open(&mut self.caps[self.head..], &scratch);
-            self.scratch = scratch;
         }
     }
 
@@ -608,34 +607,47 @@ impl Matcher {
                 "document has no root element".to_string(),
             ));
         }
-        for cap in &mut self.caps[self.head..] {
-            if cap.state == CapState::Open && cap.start_depth == 1 {
-                let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
-                cap.state = if ok { CapState::Done } else { CapState::Failed };
-                self.open_count -= 1;
-            }
+        if self.open.last().is_some_and(|oc| oc.depth == 1) {
+            self.close_innermost();
         }
         Ok(())
     }
 
-    /// Moves every completed front-of-queue capture into `ready`,
-    /// preserving document order. Stops at the first still-open capture.
-    fn drain_ready(&mut self, ready: &mut Vec<String>) {
-        while self.head < self.caps.len() {
-            match self.caps[self.head].state {
+    /// Emits every completed front-of-queue capture into `out`,
+    /// preserving document order, and stops at the first still-open one.
+    /// Then drops the record bytes no pending capture needs: all of
+    /// them once nothing is pending, else those before the head
+    /// capture's start.
+    fn drain_ready(&mut self, out: &mut Emitter) {
+        while let Some(cap) = self.caps.get(self.head) {
+            match cap.state {
                 CapState::Open => break,
-                CapState::Failed => {
-                    self.caps[self.head].buf = String::new();
-                    self.head += 1;
-                }
-                CapState::Done => {
-                    ready.push(std::mem::take(&mut self.caps[self.head].buf));
-                    self.head += 1;
-                }
+                CapState::Failed => {}
+                CapState::Done => out.emit(
+                    false,
+                    &self.rec[cap.start - self.rec_base..cap.end - self.rec_base],
+                ),
             }
+            self.head += 1;
+        }
+        if self.head == self.caps.len() {
+            debug_assert!(self.open.is_empty(), "an open capture is always pending");
+            self.caps.clear();
+            self.head = 0;
+            self.rec.clear();
+            self.rec_base = 0;
+            return;
+        }
+        let consumed = self.caps[self.head].start - self.rec_base;
+        if consumed > 0 {
+            self.rec.drain(..consumed);
+            self.rec_base += consumed;
         }
         if self.head > 64 {
             self.caps.drain(..self.head);
+            for oc in &mut self.open {
+                oc.cap -= self.head;
+            }
             self.head = 0;
         }
     }
@@ -723,9 +735,7 @@ impl StreamExec {
                 }
             }
         }
-        self.peak_resident = self
-            .peak_resident
-            .max(self.tokenizer.peak_buffered() + self.m.scratch.len());
+        self.peak_resident = self.peak_resident.max(self.tokenizer.peak_buffered());
         Ok(())
     }
 
@@ -761,17 +771,48 @@ enum Exec {
 // The machine
 // ---------------------------------------------------------------------
 
+/// The output side of a [`QueryMachine`]: serializes result items as
+/// match frames or as the bare answer sequence.
+struct Emitter {
+    out: Vec<u8>,
+    mode: QueryOutput,
+    emitted: u64,
+    prev_atom: bool,
+    bytes_out: u64,
+}
+
+impl Emitter {
+    fn emit(&mut self, atom: bool, value: &str) {
+        let before = self.out.len();
+        match self.mode {
+            QueryOutput::Frames => {
+                use std::io::Write as _;
+                let _ = write!(self.out, "{{\"match\":{},\"atom\":{},\"value\":\"", self.emitted, atom);
+                json_escape_into(value, &mut self.out);
+                self.out.extend_from_slice(b"\"}\n");
+            }
+            QueryOutput::Answer => {
+                // The sequence-level spacing rule: one space between
+                // adjacent atoms, nothing elsewhere.
+                if self.prev_atom && atom {
+                    self.out.push(b' ');
+                }
+                self.out.extend_from_slice(value.as_bytes());
+                self.prev_atom = atom;
+            }
+        }
+        self.bytes_out += (self.out.len() - before) as u64;
+        self.emitted += 1;
+    }
+}
+
 /// An owned, movable one-document query execution: feed chunks, drain
 /// output, finish for stats. Mirrors [`crate::PruneSession`]'s shape so
 /// both serving cores drive it identically (including backpressure via
 /// [`Self::pending_output`]).
 pub struct QueryMachine {
     exec: Exec,
-    out: Vec<u8>,
-    mode: QueryOutput,
-    emitted: u64,
-    prev_atom: bool,
-    bytes_out: u64,
+    sink: Emitter,
     peak_answer: usize,
     artifact: Arc<QueryArtifact>,
 }
@@ -797,11 +838,13 @@ impl QueryMachine {
         };
         QueryMachine {
             exec,
-            out: Vec::new(),
-            mode,
-            emitted: 0,
-            prev_atom: false,
-            bytes_out: 0,
+            sink: Emitter {
+                out: Vec::new(),
+                mode,
+                emitted: 0,
+                prev_atom: false,
+                bytes_out: 0,
+            },
             peak_answer: 0,
             artifact,
         }
@@ -817,9 +860,11 @@ impl QueryMachine {
         self.artifact.plan.label()
     }
 
-    /// Enables or disables pruned-subtree fast-forward (default on).
-    /// Answers are identical either way on valid documents; with it off,
-    /// the pass doubles as a full well-formedness check.
+    /// Enables or disables subtree fast-forward (default on): subtrees
+    /// the projector prunes and, for the streaming plan, subtrees with
+    /// no live NFA state. Answers are identical either way on valid
+    /// documents; with it off, the pass doubles as a full
+    /// well-formedness check.
     pub fn set_fast_forward(&mut self, on: bool) {
         match &mut self.exec {
             Exec::Streaming(s) => s.fast_forward = on,
@@ -832,7 +877,6 @@ impl QueryMachine {
     /// frames accumulate in the output buffer — drain with
     /// [`Self::take_output`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), QueryError> {
-        let mut ready = Vec::new();
         match &mut self.exec {
             Exec::Streaming(s) => {
                 s.bytes_in += chunk.len() as u64;
@@ -840,16 +884,13 @@ impl QueryMachine {
                     .push_bytes(chunk)
                     .map_err(EngineError::from)?;
                 s.pump()?;
-                s.m.drain_ready(&mut ready);
+                s.m.drain_ready(&mut self.sink);
             }
             Exec::Fallback(f) => {
                 f.bytes_in += chunk.len() as u64;
                 f.pruner.feed(chunk)?;
             }
             Exec::Done => panic!("query machine already finished"),
-        }
-        for v in &ready {
-            self.emit_match(false, v);
         }
         self.note_answer_peak();
         Ok(())
@@ -862,11 +903,7 @@ impl QueryMachine {
         let mut stats = match std::mem::replace(&mut self.exec, Exec::Done) {
             Exec::Streaming(mut s) => {
                 s.finish_stream()?;
-                let mut ready = Vec::new();
-                s.m.drain_ready(&mut ready);
-                for v in &ready {
-                    self.emit_match(false, v);
-                }
+                s.m.drain_ready(&mut self.sink);
                 QueryStats {
                     plan: "streaming",
                     matches: 0,
@@ -903,9 +940,9 @@ impl QueryMachine {
                     .map_err(|e| QueryError::Eval(e.to_string()))?;
                 for it in &items {
                     let v = serialize_item(&doc, it);
-                    self.emit_match(it.is_atom(), &v);
+                    self.sink.emit(it.is_atom(), &v);
                 }
-                self.peak_answer = self.peak_answer.max(pruned_len + self.out.len());
+                self.peak_answer = self.peak_answer.max(pruned_len + self.sink.out.len());
                 QueryStats {
                     plan: "fallback",
                     matches: 0,
@@ -920,31 +957,36 @@ impl QueryMachine {
             }
             Exec::Done => panic!("query machine already finished"),
         };
-        if self.mode == QueryOutput::Frames {
+        if self.sink.mode == QueryOutput::Frames {
             let summary = format!(
                 "{{\"done\":true,\"plan\":\"{}\",\"matches\":{},\"events\":{},\"bytes_in\":{},\
                  \"fast_forwarded\":{}}}\n",
-                stats.plan, self.emitted, stats.events, stats.bytes_in,
+                stats.plan, self.sink.emitted, stats.events, stats.bytes_in,
                 stats.subtrees_fast_forwarded,
             );
-            self.out.extend_from_slice(summary.as_bytes());
-            self.bytes_out += summary.len() as u64;
+            self.sink.out.extend_from_slice(summary.as_bytes());
+            self.sink.bytes_out += summary.len() as u64;
         }
         self.note_answer_peak();
-        stats.matches = self.emitted;
-        stats.bytes_out = self.bytes_out;
+        stats.matches = self.sink.emitted;
+        stats.bytes_out = self.sink.bytes_out;
         stats.peak_answer_bytes = self.peak_answer;
         Ok(stats)
     }
 
-    /// Appends all pending output to `dst`, clearing it here.
+    /// Appends all pending output to `dst`, clearing it here. An empty
+    /// `dst` takes the buffer itself, with no copy.
     pub fn take_output(&mut self, dst: &mut Vec<u8>) {
-        dst.append(&mut self.out);
+        if dst.is_empty() {
+            std::mem::swap(dst, &mut self.sink.out);
+        } else {
+            dst.append(&mut self.sink.out);
+        }
     }
 
     /// Bytes of output waiting to be taken — the backpressure signal.
     pub fn pending_output(&self) -> usize {
-        self.out.len()
+        self.sink.out.len()
     }
 
     /// Total resident bytes right now: engine-side buffers plus the
@@ -955,30 +997,7 @@ impl QueryMachine {
             Exec::Fallback(f) => f.pruner.resident_bytes() + f.pruner.sink_ref().len(),
             Exec::Done => 0,
         };
-        exec + self.out.len()
-    }
-
-    fn emit_match(&mut self, atom: bool, value: &str) {
-        let before = self.out.len();
-        match self.mode {
-            QueryOutput::Frames => {
-                use std::io::Write as _;
-                let _ = write!(self.out, "{{\"match\":{},\"atom\":{},\"value\":\"", self.emitted, atom);
-                json_escape_into(value, &mut self.out);
-                self.out.extend_from_slice(b"\"}\n");
-            }
-            QueryOutput::Answer => {
-                // The sequence-level spacing rule: one space between
-                // adjacent atoms, nothing elsewhere.
-                if self.prev_atom && atom {
-                    self.out.push(b' ');
-                }
-                self.out.extend_from_slice(value.as_bytes());
-                self.prev_atom = atom;
-            }
-        }
-        self.bytes_out += (self.out.len() - before) as u64;
-        self.emitted += 1;
+        exec + self.sink.out.len()
     }
 
     fn note_answer_peak(&mut self) {
@@ -986,7 +1005,7 @@ impl QueryMachine {
             Exec::Streaming(s) => s.m.capture_bytes(),
             _ => 0,
         };
-        self.peak_answer = self.peak_answer.max(caps + self.out.len());
+        self.peak_answer = self.peak_answer.max(caps + self.sink.out.len());
     }
 }
 
@@ -1215,6 +1234,102 @@ mod tests {
         let (got, stats) = answer(q, DOC, true, 9);
         assert_eq!(got, want);
         assert_eq!(stats.plan, "streaming");
+    }
+
+    #[test]
+    fn nested_matches_under_one_wide_capture_stay_linear() {
+        // `bib` stays open while 20k books (and everything in them) are
+        // captured beneath it: each event must cost O(open captures),
+        // not O(pending captures), for this to finish quickly.
+        let body: String = (0..20_000)
+            .map(|i| format!("<book><title>T{i}</title></book>"))
+            .collect();
+        let doc = format!("<bib>{body}</bib>");
+        for q in ["//node()", "/bib//node()"] {
+            let want = reference(q, &doc);
+            for chunk in [4096, doc.len()] {
+                let (got, stats) = answer(q, &doc, true, chunk);
+                assert!(got == want, "query {q}, chunk {chunk}: answer differs");
+                assert_eq!(stats.plan, "streaming");
+            }
+        }
+    }
+
+    #[test]
+    fn dead_state_subtrees_fast_forward_on_xmark() {
+        use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
+        let dtd = Arc::new(auction_dtd());
+        let xml = generate_auction(&dtd, &XMarkConfig::at_scale(0.02)).to_xml();
+        let tree = xproj_xmltree::parse(&xml).unwrap();
+        for q in [
+            "/site/closed_auctions/closed_auction/annotation/description/text/keyword",
+            "/site/regions/europe/item/mailbox/mail/text/keyword",
+        ] {
+            let art = QueryArtifact::compile(&dtd, q).unwrap();
+            let want = evaluate_query(&tree, &parse_xquery(q).unwrap()).unwrap();
+            let run = |ff| {
+                let (out, stats) =
+                    run_query(&art, xml.as_bytes(), QueryOutput::Answer, ff, 4096).unwrap();
+                (String::from_utf8(out).unwrap(), stats)
+            };
+            let (fast, fs) = run(true);
+            let (plain, ps) = run(false);
+            assert_eq!(fs.plan, "streaming");
+            assert_eq!(fast, want, "{q} with fast-forward");
+            assert_eq!(plain, want, "{q} without fast-forward");
+            // The projector alone keeps every subtree holding a
+            // `keyword` (~60% of the events here); dead-state skipping
+            // leaves little more than the path's own spine.
+            assert!(
+                fs.events * 10 < ps.events,
+                "{q}: {} events with fast-forward, {} without",
+                fs.events,
+                ps.events
+            );
+        }
+    }
+
+    #[test]
+    fn dead_state_subtree_is_skipped_even_when_projector_keeps_it() {
+        // Every name is in π for `/r/a/b`, so the projector skips
+        // nothing; but the nested `a` has no live NFA state (step 3
+        // wants `b`), so its subtree is skipped raw.
+        let dtd = Arc::new(
+            parse_dtd(
+                "<!ELEMENT r (a*)><!ELEMENT a (a*, b?)><!ELEMENT b (#PCDATA)>",
+                "r",
+            )
+            .unwrap(),
+        );
+        let doc = "<r><a><a><a><b>x</b></a></a><b>y</b></a></r>";
+        let art = QueryArtifact::compile(&dtd, "/r/a/b").unwrap();
+        let run = |ff| {
+            let (out, stats) =
+                run_query(&art, doc.as_bytes(), QueryOutput::Answer, ff, 4096).unwrap();
+            (String::from_utf8(out).unwrap(), stats)
+        };
+        let (fast, fs) = run(true);
+        let (plain, ps) = run(false);
+        assert_eq!(fast, "<b>y</b>");
+        assert_eq!(plain, fast);
+        assert_eq!(fs.subtrees_fast_forwarded, 1);
+        assert_eq!(ps.subtrees_fast_forwarded, 0);
+        assert!(fs.events < ps.events);
+    }
+
+    #[test]
+    fn take_output_moves_into_an_empty_buffer() {
+        let art = artifact("//title");
+        let mut machine = QueryMachine::new(art, QueryOutput::Answer);
+        machine.feed(DOC.as_bytes()).unwrap();
+        let ptr = machine.sink.out.as_ptr();
+        let mut out = Vec::new();
+        machine.take_output(&mut out);
+        assert_eq!(out.as_ptr(), ptr, "an empty destination takes the buffer");
+        assert_eq!(machine.pending_output(), 0);
+        machine.finish().unwrap();
+        machine.take_output(&mut out);
+        assert_eq!(String::from_utf8(out).unwrap(), reference("//title", DOC));
     }
 
     #[test]

@@ -129,7 +129,8 @@ impl<'f> Conn<'f> {
     }
 
     /// Reads more bytes into the buffer. With `idle` set (between
-    /// requests) a shutdown flag or clean EOF maps to [`HttpError::Closed`].
+    /// requests) a clean EOF, or a shutdown flag with nothing left to
+    /// read, maps to [`HttpError::Closed`].
     fn fill(&mut self, idle: bool) -> Result<(), HttpError> {
         if self.pos == self.buf.len() {
             self.buf.clear();
@@ -144,9 +145,6 @@ impl<'f> Conn<'f> {
         loop {
             if self.flags.hard_abort.load(Ordering::Relaxed) {
                 return Err(HttpError::Io(std::io::Error::other("server aborting")));
-            }
-            if idle && self.flags.shutdown.load(Ordering::Relaxed) {
-                return Err(HttpError::Closed);
             }
             if idle {
                 if let Some(w) = self.yield_waiters {
@@ -168,6 +166,11 @@ impl<'f> Conn<'f> {
                     return Ok(());
                 }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // Only a read that came back empty means idle: bytes
+                    // already on the wire are a request shutdown drains.
+                    if idle && self.flags.shutdown.load(Ordering::Relaxed) {
+                        return Err(HttpError::Closed);
+                    }
                     if Instant::now() >= deadline {
                         return Err(if idle { HttpError::Closed } else { HttpError::Timeout });
                     }

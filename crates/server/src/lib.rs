@@ -208,17 +208,35 @@ impl Server {
                     }
                 });
             }
+            let dispatch = |stream: std::net::TcpStream| {
+                state.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                let _ = stream.set_nodelay(true);
+                state.queued.fetch_add(1, Ordering::Relaxed);
+                let sent = tx.send(stream).is_ok();
+                if !sent {
+                    state.queued.fetch_sub(1, Ordering::Relaxed);
+                }
+                sent
+            };
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         if state.is_shutting_down() {
-                            break; // the wake-up connection (or a racer)
+                            // The wake-up connection, or a racer. Serve
+                            // requests already on the wire — this one and
+                            // any still queued on the listener — and drop
+                            // idle connections (the wake-up one included).
+                            let _ = listener.set_nonblocking(true);
+                            let mut next = Some(stream);
+                            while let Some(s) = next.take() {
+                                if has_unread_bytes(&s) && s.set_nonblocking(false).is_ok() {
+                                    dispatch(s);
+                                }
+                                next = listener.accept().ok().map(|(s, _)| s);
+                            }
+                            break;
                         }
-                        state.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.set_nodelay(true);
-                        state.queued.fetch_add(1, Ordering::Relaxed);
-                        if tx.send(stream).is_err() {
-                            state.queued.fetch_sub(1, Ordering::Relaxed);
+                        if !dispatch(stream) {
                             break;
                         }
                     }
@@ -263,4 +281,12 @@ impl Server {
             requests: state.metrics.requests.load(Ordering::Relaxed),
         })
     }
+}
+
+/// Whether the peer has sent bytes this side has not read yet (a
+/// request in flight rather than an idle connection). Leaves the socket
+/// non-blocking, so an idle peer reads as `WouldBlock` instead of
+/// blocking the caller.
+pub(crate) fn has_unread_bytes(stream: &std::net::TcpStream) -> bool {
+    stream.set_nonblocking(true).is_ok() && matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0)
 }

@@ -71,7 +71,7 @@ use crate::http::{
 use crate::metrics::Endpoint;
 use crate::state::ServerState;
 use crate::wire::{parse_head, BodyDecoder};
-use crate::ShutdownReport;
+use crate::{has_unread_bytes, ShutdownReport};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read};
 use std::net::{TcpListener, TcpStream};
@@ -1723,8 +1723,10 @@ impl EventLoop<'_> {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.state.is_shutting_down() {
-                        continue; // raced with shutdown: drop it
+                    // Raced with shutdown: serve a request that is
+                    // already on the wire, drop an idle connection.
+                    if self.state.is_shutting_down() && !has_unread_bytes(&stream) {
+                        continue;
                     }
                     if self.state.open_conns.load(Ordering::Relaxed)
                         >= self.state.config.max_connections
@@ -2029,17 +2031,25 @@ fn run_loop(
             // clock, drop idle connections.
             if state.is_shutting_down() && listener_open {
                 if accept_paused_until.take().is_none() {
+                    // Connections still queued on the listener may have
+                    // sent a request already: `accept_ready` takes those
+                    // in (and only those) before the listener closes.
+                    lp.accept_ready(&listener, now);
                     let _ = lp.reactor.deregister(listener.as_raw_fd());
                 }
                 listener_open = false;
                 drain_deadline = Some(now + state.config.drain_deadline);
                 for token in lp.conns.tokens() {
                     let idle = match lp.conns.get_mut(token) {
+                        // Bytes still unread in the socket are a request
+                        // in flight, not an idle peer: closing would reset
+                        // it. The level-triggered poll reads them next.
                         Some(c) => {
                             matches!(c.phase, Phase::Head)
                                 && !c.active
                                 && c.in_pos >= c.in_buf.len()
                                 && c.out.is_empty()
+                                && !has_unread_bytes(&c.stream)
                         }
                         None => false,
                     };

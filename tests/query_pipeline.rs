@@ -21,6 +21,11 @@
 //! `TESTKIT_SEED=0x…` replay line; `TESTKIT_FUZZ_CASES=n` scales the
 //! run. Documents longer than `MAX_EXHAUSTIVE_BYTES` fall back to a
 //! strided split sample so soak runs stay bounded.
+//!
+//! A second, deterministic leg runs the paper's 43 XMark/XPathMark
+//! queries over a small XMark document through `run_query` at several
+//! chunk sizes, so the benchmark workload itself (nested captures,
+//! unselective `//node()`, fallback plans) is held to the same contract.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -28,7 +33,10 @@ use xml_projection::dtd::generate::{
     generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS,
 };
 use xml_projection::dtd::Dtd;
-use xml_projection::engine::{QueryMachine, QueryOutput};
+use xml_projection::engine::{run_query, QueryMachine, QueryOutput};
+use xml_projection::xmark::{
+    auction_dtd, generate_auction, xmark_queries, xpathmark_queries, XMarkConfig,
+};
 use xml_projection::xquery::{evaluate_query, parse_xquery};
 use xproj_qc::QueryArtifact;
 use xproj_testkit::{case_seed, SplitMix64};
@@ -196,6 +204,36 @@ fn fuzz_query_machine_matches_unpruned_reference() {
                 "query-pipeline fuzzer failed at case {i}/{cases}:\n{msg}\n\
                  [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}"
             );
+        }
+    }
+}
+
+#[test]
+fn xmark_workload_matches_unpruned_reference() {
+    let dtd = Arc::new(auction_dtd());
+    let doc = generate_auction(&dtd, &XMarkConfig::at_scale(0.02));
+    let xml = doc.to_xml();
+    let queries: Vec<_> = xmark_queries().into_iter().chain(xpathmark_queries()).collect();
+    assert_eq!(queries.len(), 43);
+    for q in &queries {
+        let want = evaluate_query(&doc, &parse_xquery(q.text).unwrap())
+            .unwrap_or_else(|e| panic!("{}: reference evaluation failed: {e}", q.id));
+        let artifact = QueryArtifact::compile(&dtd, q.text)
+            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", q.id));
+        for fast_forward in [true, false] {
+            for chunk in [7, 4096, xml.len()] {
+                let (out, _) =
+                    run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, fast_forward, chunk)
+                        .unwrap_or_else(|e| {
+                            panic!("{} (chunk {chunk}, ff={fast_forward}) failed: {e}", q.id)
+                        });
+                assert!(
+                    out == want.as_bytes(),
+                    "{} ({}) diverged from the unpruned reference at chunk {chunk}, ff={fast_forward}",
+                    q.id,
+                    q.text
+                );
+            }
         }
     }
 }
